@@ -93,8 +93,10 @@ struct Latencies
     std::vector<double> all;
 };
 
-/** Set the class latency metrics and rtt_p50_ms from `lat`. */
-void setLatencyMetrics(RunResult &r, const Latencies &lat);
+/** Set the class latency metrics and rtt_p50_ms from `lat`, and
+ *  interactive_tail_ms to the workload's own interactive tail figure. */
+void setLatencyMetrics(RunResult &r, const Latencies &lat,
+                       double interactive_tail_ms);
 
 RunResult runRenderOrbit(const Options &opt);
 RunResult runServeOpen(const Options &opt);

@@ -254,7 +254,7 @@ runServeOpen(const Options &opt)
     if (!opt.trace) {
         r.set("frames_per_s", double(served) / wall_s, "1/s");
         r.set("psnr_db", fc.mean_psnr_db, "dB");
-        setLatencyMetrics(r, lat);
+        setLatencyMetrics(r, lat, percentile(lat.cls[0], 0.99));
         r.set("bytes_per_frame", fc.delta_bytes_per_frame, "bytes");
         r.set("setup_s", setup_s, "s");
         r.set("peak_rss_mb", rss_mb, "MB");

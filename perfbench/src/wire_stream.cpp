@@ -407,7 +407,7 @@ runWireStream(const Options &opt)
     if (!opt.trace) {
         r.set("frames_per_s", frames_per_pass / median(pass_s), "1/s");
         r.set("psnr_db", fc.mean_psnr_db, "dB");
-        setLatencyMetrics(r, rtt);
+        setLatencyMetrics(r, rtt, percentile(rtt.cls[0], 0.99));
         r.set("bytes_per_frame", served ? payload / double(served) : 0.0,
               "bytes");
         r.set("setup_s", setup_s, "s");
